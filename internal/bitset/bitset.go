@@ -45,6 +45,11 @@ func (b *Bitset) check(i int) {
 	}
 }
 
+// Words exposes the bitmap's words — bit i is words[i/64]>>(i%64)&1 — for
+// read-only membership tests in hot loops that have already range-checked
+// their indices. Mutating the returned slice corrupts the bitset.
+func (b *Bitset) Words() []uint64 { return b.words }
+
 // Set sets bit i.
 func (b *Bitset) Set(i int) {
 	b.check(i)

@@ -31,15 +31,15 @@ func BenchmarkBuildRaw(b *testing.B) {
 	}
 }
 
-func BenchmarkLoadInBlockScratch(b *testing.B) {
-	for _, format := range []Format{FormatRaw, FormatCompressed} {
+func BenchmarkLoadInBlockPackedScratch(b *testing.B) {
+	for _, format := range []Format{FormatRaw, FormatCompressed, FormatMixed} {
 		b.Run(format.String(), func(b *testing.B) {
-			ds := benchGraphStore(b, format, true)
+			ds := benchGraphStore(b, format, false)
 			sc := &Scratch{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ds.LoadInBlockScratch(i%8, (i/8)%8, sc); err != nil {
+				if _, _, err := ds.LoadInBlockPackedScratch(i%8, (i/8)%8, sc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -47,15 +47,38 @@ func BenchmarkLoadInBlockScratch(b *testing.B) {
 	}
 }
 
-func BenchmarkLoadInBlockBytesScratch(b *testing.B) {
-	ds := benchGraphStore(b, FormatRaw, true)
-	sc := &Scratch{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ds.LoadInBlockBytesScratch(i%8, (i/8)%8, sc); err != nil {
-			b.Fatal(err)
+// BenchmarkExpandInBlock measures the expanders that turn a varint- or
+// RLE-coded in-block into the packed raw layout COP iterates: one
+// unweighted in-block's sections, expanded section by section into a
+// reused buffer. SetBytes is the packed output, so MB/s reads as packed
+// bytes produced per second.
+func BenchmarkExpandInBlock(b *testing.B) {
+	ds := benchGraphStore(b, FormatRaw, false)
+	blk, err := ds.LoadInBlock(0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []Codec{CodecVarint, CodecRLE} {
+		var enc []byte
+		bounds := []int{0}
+		for k := 0; k+1 < len(blk.Index); k++ {
+			enc = encodeVertexRecsCodec(enc, blk.EdgesOf(k), c, false, nil)
+			bounds = append(bounds, len(enc))
 		}
+		b.Run(c.String(), func(b *testing.B) {
+			var out []byte
+			b.SetBytes(int64(len(blk.Recs)) * int64(RawRecordBytes(false)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out = out[:0]
+				for k := 1; k < len(bounds); k++ {
+					if out, err = appendPackedRecs(out, enc[bounds[k-1]:bounds[k]], c, false); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

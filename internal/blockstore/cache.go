@@ -31,8 +31,8 @@ import (
 type BlockKind uint8
 
 const (
-	// KindInBlock is the fully-loaded in-block(i,j): payload plus byte
-	// index for FormatRaw stores, decoded records for compressed ones.
+	// KindInBlock is the fully-loaded in-block(i,j): packed raw records
+	// plus their per-destination byte index, whatever the block's codec.
 	KindInBlock BlockKind = iota
 	// KindOutIndex is the decoded out-index(i,j): per-source byte offsets
 	// into out-block(i,j).
@@ -66,9 +66,9 @@ type BlockKey struct {
 // CachedBlock is one immutable decoded cache entry. Exactly the fields the
 // engine's hot paths consume are retained:
 //
-//   - KindInBlock, FormatRaw: Payload (packed records) + ByteIdx (per-
-//     destination byte offsets) — the zero-copy RawRec iteration view.
-//   - KindInBlock, FormatCompressed: Recs + RecIdx — the decoded Block view.
+//   - KindInBlock: Payload (packed raw records; varint/RLE blocks arrive
+//     expanded into that layout) + ByteIdx (per-destination byte offsets) —
+//     the view COP's pull kernel iterates in place.
 //   - KindOutIndex: ByteIdx — the decoded per-source offset index.
 //   - KindOutBlock: Payload — the raw out-block bytes runs slice into.
 //
@@ -77,17 +77,12 @@ type BlockKey struct {
 type CachedBlock struct {
 	Payload []byte
 	ByteIdx []uint32
-	Recs    []Rec
-	RecIdx  []uint32
 }
 
 // Bytes returns the entry's budget charge: the memory its retained slices
-// hold (8 bytes per Rec, 4 per index entry).
+// hold (4 bytes per index entry).
 func (b *CachedBlock) Bytes() int64 {
-	return int64(len(b.Payload)) +
-		4*int64(len(b.ByteIdx)) +
-		8*int64(len(b.Recs)) +
-		4*int64(len(b.RecIdx))
+	return int64(len(b.Payload)) + 4*int64(len(b.ByteIdx))
 }
 
 // CacheStats is a snapshot of a BlockCache's counters.

@@ -16,10 +16,8 @@ func TestCachedBlockBytes(t *testing.T) {
 	b := &CachedBlock{
 		Payload: make([]byte, 10),
 		ByteIdx: make([]uint32, 3),
-		Recs:    make([]Rec, 2),
-		RecIdx:  make([]uint32, 5),
 	}
-	if got := b.Bytes(); got != 10+3*4+2*8+5*4 {
+	if got := b.Bytes(); got != 10+3*4 {
 		t.Fatalf("Bytes = %d", got)
 	}
 }

@@ -1,9 +1,11 @@
 package blockstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -713,6 +715,7 @@ type Scratch struct {
 	idxRaw  []byte
 	recs    []Rec
 	recIdx  []uint32
+	packed  []byte
 	idx     []uint32
 	decoded []Rec
 	rle     []byte
@@ -896,39 +899,95 @@ func (d *DualStore) loadBlock(out bool, i, j int, sc *Scratch) (Block, error) {
 	return Block{Index: recIdx, Recs: recs}, nil
 }
 
-// LoadInBlockBytesScratch streams in-block(i,j) WITHOUT decoding: it
-// returns the raw payload and the per-destination byte index, both aliasing
-// sc's buffers. The engine's raw fast path iterates records in place via
-// RawRec, avoiding any per-iteration decode allocation — this is what a
-// real implementation gets by mapping packed structs. Only valid for
-// blocks whose codec is CodecNone (all of FormatRaw; per-block in
-// FormatMixed).
-func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
-	if c := d.InCodec(i, j); c != CodecNone {
-		return nil, nil, fmt.Errorf("blockstore: in-block (%d,%d) is %v-coded, not raw", i, j, c)
-	}
+// LoadInBlockPackedScratch streams in-block(i,j) in the packed raw record
+// layout, whatever its codec: the payload holds fixed-size records (uint32
+// neighbor, plus the float32 weight on weighted stores) and the
+// per-destination byte index delimits each destination's records in it.
+// Both alias sc's buffers. Raw-coded blocks (all of FormatRaw; per-block in
+// FormatMixed) are returned as stored, with no decode pass — what a real
+// implementation gets by mapping packed structs. Varint and RLE blocks are
+// expanded section by section into the same layout (one decode op, counted
+// like LoadInBlock's), so COP iterates every block with one kernel and the
+// cache holds 4 bytes per unweighted record instead of a decoded Rec.
+func (d *DualStore) LoadInBlockPackedScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
+	name, c := inBlockName(i, j), d.InCodec(i, j)
 	byteIdx, err := d.loadIndexScratch(inIndexName(i, j), d.Layout.Size(j)+1, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	payload, tag, err := d.readBlobTagged(inBlockName(i, j), sc.raw)
+	payload, tag, err := d.readBlobTagged(name, sc.raw)
 	if err != nil {
 		return nil, nil, err
 	}
 	sc.raw = payload
-	if tag != CodecNone {
-		return nil, nil, fmt.Errorf("blockstore: in-block (%d,%d): frame codec %v disagrees with meta codec none: %w", i, j, tag, storage.ErrCorrupt)
+	if tag != c && (c == CodecNone || d.Format == FormatMixed) {
+		return nil, nil, fmt.Errorf("blockstore: %s: frame codec %v disagrees with meta codec %v: %w", name, tag, c, storage.ErrCorrupt)
 	}
-	if n := len(byteIdx); n == 0 || byteIdx[n-1] != uint32(len(payload)) {
-		return nil, nil, fmt.Errorf("blockstore: in-block (%d,%d): index/payload mismatch", i, j)
+	if c == CodecNone {
+		if n := len(byteIdx); n == 0 || byteIdx[n-1] != uint32(len(payload)) {
+			return nil, nil, fmt.Errorf("blockstore: in-block (%d,%d): index/payload mismatch", i, j)
+		}
+		d.dec.logicalBytes.Add(int64(len(payload)))
+		return payload, byteIdx, nil
 	}
-	d.dec.logicalBytes.Add(int64(len(payload)))
-	return payload, byteIdx, nil
+
+	if cap(sc.recIdx) < len(byteIdx) {
+		sc.recIdx = make([]uint32, len(byteIdx))
+	}
+	packedIdx := sc.recIdx[:len(byteIdx)]
+	// The block's edge count sizes the output exactly; only a corrupt
+	// payload can make it grow.
+	step := RawRecordBytes(d.Weighted)
+	packed := slices.Grow(sc.packed[:0], int(d.BlockEdgeCount[i][j])*step)
+	srcLo, srcHi := d.Layout.Bounds(i)
+	base, span := uint32(srcLo), uint32(srcHi-srcLo)
+	start := time.Now()
+	for k := 0; k+1 < len(byteIdx); k++ {
+		packedIdx[k] = uint32(len(packed))
+		lo, hi := byteIdx[k], byteIdx[k+1]
+		if int(hi) > len(payload) || lo > hi {
+			return nil, nil, fmt.Errorf("blockstore: %s: corrupt index [%d,%d) for %d payload bytes: %w", name, lo, hi, len(payload), storage.ErrCorrupt)
+		}
+		sec := len(packed)
+		packed, err = appendPackedRecs(packed, payload[lo:hi], c, d.Weighted)
+		if err != nil {
+			return nil, nil, fmt.Errorf("blockstore: %s vertex %d: %w", name, k, err)
+		}
+		if nbr, ok := strayNeighbor(packed[sec:], c, step, base, span); ok {
+			return nil, nil, fmt.Errorf("blockstore: %s vertex %d: neighbor %d outside source interval %d [%d,%d): %w", name, k, nbr, i, srcLo, srcHi, storage.ErrCorrupt)
+		}
+	}
+	packedIdx[len(byteIdx)-1] = uint32(len(packed))
+	sc.packed, sc.recIdx = packed, packedIdx
+	d.noteDecode(c, int64(len(packed)), int64(len(payload)), time.Since(start))
+	d.dec.logicalBytes.Add(int64(len(packed)))
+	return packed, packedIdx, nil
+}
+
+// strayNeighbor returns the first neighbor of a packed in-block section
+// (records of step bytes, expanded from codec c) outside the block's source
+// interval [base, base+span). Such a CRC-valid but mis-built block fails at
+// decode time instead of reaching the engine: COP's activity test assumes
+// every source of in-block(i,·) lies in interval i.
+func strayNeighbor(sec []byte, c Codec, step int, base, span uint32) (uint32, bool) {
+	stride := step
+	if c == CodecVarint && len(sec) > step {
+		// The varint decoder bounds every gap, so ids never decrease
+		// within a section: its first and last records bound the rest.
+		stride = len(sec) - step
+	}
+	for off := 0; off < len(sec); off += stride {
+		if nbr := binary.LittleEndian.Uint32(sec[off:]); nbr-base >= span {
+			return nbr, true
+		}
+	}
+	return 0, false
 }
 
 // LoadInBlock streams and decodes the whole in-block(i,j) with its index,
-// charged as sequential reads — COP's block scan (Alg. 3 line 5). The
-// returned Block owns its data; decode and I/O buffers come from the pooled
+// charged as sequential reads, into decoded records (COP's own scan reads
+// the packed view, LoadInBlockPackedScratch). The returned Block owns its
+// data; decode and I/O buffers come from the pooled
 // Scratch set rather than fresh per-call allocations.
 func (d *DualStore) LoadInBlock(i, j int) (*Block, error) {
 	return d.loadOwnedBlock(false, i, j)
@@ -947,12 +1006,6 @@ func (d *DualStore) loadOwnedBlock(out bool, i, j int) (*Block, error) {
 		Index: append([]uint32(nil), blk.Index...),
 		Recs:  append([]Rec(nil), blk.Recs...),
 	}, nil
-}
-
-// LoadInBlockScratch is LoadInBlock reusing sc's buffers. The returned view
-// is invalidated by the next load into sc.
-func (d *DualStore) LoadInBlockScratch(i, j int, sc *Scratch) (Block, error) {
-	return d.loadBlock(false, i, j, sc)
 }
 
 // LoadOutPayload streams the stored payload of out-block(i,j) in one

@@ -208,9 +208,11 @@ func decodeVertexRecsCodecInto(recs []Rec, buf []byte, c Codec, weighted bool, r
 				return nil, fmt.Errorf("blockstore: corrupt varint at offset %d: %w", off, storage.ErrCorrupt)
 			}
 			off += n
+			// A gap wider than the id space is corrupt; bounding it keeps
+			// ids non-decreasing within a section.
 			nbr := prev + int64(delta)
-			if nbr < 0 || nbr > math.MaxUint32 {
-				return nil, fmt.Errorf("blockstore: neighbor id %d out of range: %w", nbr, storage.ErrCorrupt)
+			if delta > math.MaxUint32 || nbr < 0 || nbr > math.MaxUint32 {
+				return nil, fmt.Errorf("blockstore: neighbor gap %d after id %d out of range: %w", delta, prev, storage.ErrCorrupt)
 			}
 			w := float32(1)
 			if weighted {
@@ -238,6 +240,73 @@ func decodeVertexRecsCodecInto(recs []Rec, buf []byte, c Codec, weighted bool, r
 			return nil, err
 		}
 		return decodeVertexRecsCodecInto(recs, raw, CodecNone, weighted, nil)
+	}
+}
+
+// appendPackedRecs expands one vertex's record section encoded with codec c
+// into packed raw records (the CodecNone layout: uint32 neighbor, plus the
+// float32 weight when weighted), appending to dst. It accepts exactly the
+// sections decodeVertexRecsCodecInto accepts and yields the same records,
+// with the same storage.ErrCorrupt-class errors on malformed input; RLE
+// sections expand straight into dst with no intermediate buffer.
+func appendPackedRecs(dst, buf []byte, c Codec, weighted bool) ([]byte, error) {
+	step := RawRecordBytes(weighted)
+	switch c {
+	case CodecNone:
+		if len(buf)%step != 0 {
+			return nil, fmt.Errorf("blockstore: raw payload length %d not a multiple of %d: %w", len(buf), step, storage.ErrCorrupt)
+		}
+		return append(dst, buf...), nil
+	case CodecVarint:
+		prev := int64(-1)
+		off := 0
+		for off < len(buf) {
+			// One- and two-byte gaps (the common cases) skip the general
+			// decoder; they are exactly what binary.Uvarint would return.
+			var delta uint64
+			if b0 := buf[off]; b0 < 0x80 {
+				delta = uint64(b0)
+				off++
+			} else if off+1 < len(buf) && buf[off+1] < 0x80 {
+				delta = uint64(b0&0x7f) | uint64(buf[off+1])<<7
+				off += 2
+			} else {
+				d, n := binary.Uvarint(buf[off:])
+				if n <= 0 {
+					return nil, fmt.Errorf("blockstore: corrupt varint at offset %d: %w", off, storage.ErrCorrupt)
+				}
+				delta = d
+				off += n
+			}
+			// A gap wider than the id space is corrupt; bounding it keeps
+			// ids non-decreasing within a section.
+			nbr := prev + int64(delta)
+			if delta > math.MaxUint32 || nbr < 0 || nbr > math.MaxUint32 {
+				return nil, fmt.Errorf("blockstore: neighbor gap %d after id %d out of range: %w", delta, prev, storage.ErrCorrupt)
+			}
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(nbr))
+			if weighted {
+				if off+4 > len(buf) {
+					return nil, fmt.Errorf("blockstore: truncated weight at offset %d: %w", off, storage.ErrCorrupt)
+				}
+				dst = append(dst, buf[off:off+4]...)
+				off += 4
+			}
+			prev = nbr
+		}
+		return dst, nil
+	case CodecRLE:
+		base := len(dst)
+		dst, err := appendUnRLE(dst, buf)
+		if err != nil {
+			return nil, err
+		}
+		if n := len(dst) - base; n%step != 0 {
+			return nil, fmt.Errorf("blockstore: raw payload length %d not a multiple of %d: %w", n, step, storage.ErrCorrupt)
+		}
+		return dst, nil
+	default:
+		return nil, fmt.Errorf("blockstore: unknown codec %d: %w", c, storage.ErrCorrupt)
 	}
 }
 

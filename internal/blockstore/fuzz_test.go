@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"husgraph/internal/storage"
@@ -130,6 +131,49 @@ func FuzzDecodeRLE(f *testing.F) {
 		for _, weighted := range []bool{false, true} {
 			if _, err := decodeVertexRecsCodecInto(nil, data, CodecRLE, weighted, &sc.rle); err != nil {
 				wantCorruptClass(t, err)
+			}
+		}
+	})
+}
+
+func FuzzExpandInBlock(f *testing.F) {
+	recs := []Rec{{Nbr: 1, Weight: 2}, {Nbr: 7, Weight: 0.5}, {Nbr: 1000000, Weight: -1}}
+	for c := CodecNone; c < numCodecs; c++ {
+		for _, weighted := range []bool{false, true} {
+			enc := encodeVertexRecsCodec(nil, recs, c, weighted, nil)
+			f.Add(enc, uint8(c), weighted)
+			f.Add(enc[:len(enc)-1], uint8(c), weighted)
+		}
+	}
+	f.Add([]byte{0x80}, uint8(CodecVarint), false)
+	f.Add([]byte{0x7F}, uint8(CodecRLE), true)
+	f.Add([]byte{1, 2, 3}, uint8(numCodecs), false)
+
+	f.Fuzz(func(t *testing.T, data []byte, codec uint8, weighted bool) {
+		c := Codec(codec)
+		want, wantErr := decodeVertexRecsCodecInto(nil, data, c, weighted, nil)
+		// Expand after a prefix, as block expansion appends section after
+		// section into one buffer.
+		prefix := []byte{0xAA, 0xBB, 0xCC, 0xDD}
+		got, err := appendPackedRecs(append([]byte(nil), prefix...), data, c, weighted)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("codec %v weighted=%v: expander err %v, decoder err %v", c, weighted, err, wantErr)
+		}
+		if err != nil {
+			wantCorruptClass(t, err)
+			return
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) {
+			t.Fatal("expander overwrote the bytes it appends to")
+		}
+		packed := got[len(prefix):]
+		step := RawRecordBytes(weighted)
+		if len(packed) != len(want)*step {
+			t.Fatalf("codec %v weighted=%v: %d packed bytes for %d records", c, weighted, len(packed), len(want))
+		}
+		for k, r := range want {
+			if nbr, w := RawRec(packed, k*step, weighted); nbr != r.Nbr || math.Float32bits(w) != math.Float32bits(r.Weight) {
+				t.Fatalf("codec %v weighted=%v record %d: packed (%d, %v), decoded %+v", c, weighted, k, nbr, w, r)
 			}
 		}
 	})

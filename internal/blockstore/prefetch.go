@@ -91,18 +91,16 @@ type prefetchReq struct {
 	consumed atomic.Bool
 }
 
-// PrefetchResult is one delivered block. Exactly one of the view families
-// is populated, matching the key's kind and the store's format (see
-// CachedBlock). Views alias either a pooled Scratch (returned by Release)
-// or an immutable cache entry; they are read-only and valid until Release.
+// PrefetchResult is one delivered block, in the view its key's kind
+// retains in the cache (see CachedBlock). Views alias either a pooled
+// Scratch (returned by Release) or an immutable cache entry; they are
+// read-only and valid until Release.
 type PrefetchResult struct {
 	Key BlockKey
 	Err error
 
 	Payload []byte
 	ByteIdx []uint32
-	Recs    []Rec
-	RecIdx  []uint32
 	// Cached reports the result was served from the block cache (no
 	// device I/O, no scratch to return).
 	Cached bool
@@ -141,10 +139,18 @@ func (r *PrefetchResult) Release() {
 // cache so consumers hold cache memory, not pooled buffers.
 func (r *PrefetchResult) AdoptCached(blk *CachedBlock) {
 	r.Payload, r.ByteIdx = blk.Payload, blk.ByteIdx
-	r.Recs, r.RecIdx = blk.Recs, blk.RecIdx
 	if r.sc != nil {
 		PutScratch(r.sc)
 		r.sc = nil
+	}
+}
+
+// CacheCopy returns a cache entry holding copies of the result's views,
+// for insertion with BlockCache.Put.
+func (r *PrefetchResult) CacheCopy() *CachedBlock {
+	return &CachedBlock{
+		Payload: append([]byte(nil), r.Payload...),
+		ByteIdx: append([]uint32(nil), r.ByteIdx...),
 	}
 }
 
@@ -158,7 +164,7 @@ func (r *PrefetchResult) dataBytes() int64 {
 	if r.Cached || r.Deferred || r.Err != nil {
 		return 0
 	}
-	return (&CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx, Recs: r.Recs, RecIdx: r.RecIdx}).Bytes()
+	return (&CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx}).Bytes()
 }
 
 // NewPrefetcher starts a prefetch pipeline over schedule. depth is the
@@ -283,11 +289,7 @@ func (p *Prefetcher) load(key BlockKey) *PrefetchResult {
 			blk, ok = p.cache.Get(key)
 		}
 		if ok {
-			return &PrefetchResult{
-				Key: key, Cached: true, pf: p,
-				Payload: blk.Payload, ByteIdx: blk.ByteIdx,
-				Recs: blk.Recs, RecIdx: blk.RecIdx,
-			}
+			return &PrefetchResult{Key: key, Cached: true, pf: p, Payload: blk.Payload, ByteIdx: blk.ByteIdx}
 		}
 	}
 	if p.pending != nil && p.pending(key) {
@@ -302,17 +304,11 @@ func (p *Prefetcher) load(key BlockKey) *PrefetchResult {
 	case KindOutIndex:
 		res.ByteIdx, err = p.ds.LoadOutIndexScratch(key.I, key.J, sc)
 	case KindInBlock:
-		// Decode happens here, in the worker, so it overlaps the I/O of
-		// the other in-flight blocks instead of serializing behind it.
-		// Raw-coded blocks (all of FormatRaw; per-block in FormatMixed)
-		// skip decoding entirely and are iterated in place downstream.
-		if p.ds.InCodec(key.I, key.J) == CodecNone {
-			res.Payload, res.ByteIdx, err = p.ds.LoadInBlockBytesScratch(key.I, key.J, sc)
-		} else {
-			var blk Block
-			blk, err = p.ds.LoadInBlockScratch(key.I, key.J, sc)
-			res.Recs, res.RecIdx = blk.Recs, blk.Index
-		}
+		// Varint/RLE blocks are expanded into the packed raw layout here,
+		// in the worker, so the decode overlaps the I/O of the other
+		// in-flight blocks instead of serializing behind it; raw-coded
+		// blocks arrive as stored.
+		res.Payload, res.ByteIdx, err = p.ds.LoadInBlockPackedScratch(key.I, key.J, sc)
 	default:
 		err = fmt.Errorf("blockstore: prefetch: unknown block kind %d", key.Kind)
 	}
@@ -321,18 +317,9 @@ func (p *Prefetcher) load(key BlockKey) *PrefetchResult {
 		return &PrefetchResult{Key: key, Err: err}
 	}
 	if p.cache != nil && !p.quiet {
-		blk := &CachedBlock{
-			Payload: append([]byte(nil), res.Payload...),
-			ByteIdx: append([]uint32(nil), res.ByteIdx...),
-			Recs:    append([]Rec(nil), res.Recs...),
-			RecIdx:  append([]uint32(nil), res.RecIdx...),
-		}
-		if p.cache.Put(key, blk) {
+		if blk := res.CacheCopy(); p.cache.Put(key, blk) {
 			// Serve the immutable cached copy; the scratch is free now.
-			res.Payload, res.ByteIdx = blk.Payload, blk.ByteIdx
-			res.Recs, res.RecIdx = blk.Recs, blk.RecIdx
-			PutScratch(sc)
-			res.sc = nil
+			res.AdoptCached(blk)
 		}
 	}
 	//lint:ignore huslint/poolescape ownership of sc transfers to the result; PrefetchResult.Release/Close return it to the pool exactly once

@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -9,23 +10,11 @@ import (
 	"husgraph/internal/storage"
 )
 
-// eqBytes/eqU32/eqRecs compare slice contents treating nil and empty as
+// eqBytes/eqU32 compare slice contents treating nil and empty as
 // equal (loaders and cache promotion legitimately differ there).
 func eqBytes(a, b []byte) bool { return string(a) == string(b) }
 
 func eqU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func eqRecs(a, b []Rec) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -69,42 +58,57 @@ func outIndexSchedule(ds *DualStore) []BlockKey {
 	return s
 }
 
+// packedView re-packs a decoded block into the packed raw layout the
+// prefetcher delivers: CodecNone records plus per-destination byte offsets.
+func packedView(blk *Block, weighted bool) ([]byte, []uint32) {
+	step := uint32(RawRecordBytes(weighted))
+	payload := encodeVertexRecsCodec(nil, blk.Recs, CodecNone, weighted, nil)
+	byteIdx := make([]uint32, len(blk.Index))
+	for k, r := range blk.Index {
+		byteIdx[k] = r * step
+	}
+	return payload, byteIdx
+}
+
 func TestPrefetchMatchesSyncLoadsAllDepths(t *testing.T) {
-	for _, format := range []Format{FormatRaw, FormatCompressed} {
-		ds := prefetchStore(t, format)
-		sc := new(Scratch)
+	// Every codec — raw, varint, and the per-block mix of a FormatMixed
+	// store — must arrive as the packed raw view of exactly the records
+	// the synchronous decoder yields, weighted and not.
+	stores := map[string]*DualStore{
+		"raw":        prefetchStore(t, FormatRaw),
+		"compressed": prefetchStore(t, FormatCompressed),
+	}
+	for _, weighted := range []bool{false, true} {
+		ds, err := BuildOpts(memStore(), mixedGraph(weighted), Options{P: 4, Format: FormatMixed, Weighted: weighted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[fmt.Sprintf("mixed/weighted=%v", weighted)] = ds
+	}
+	for name, ds := range stores {
 		for _, depth := range []int{0, 1, 2, 4} {
 			pf := ds.NewPrefetcher(inBlockSchedule(ds), depth, nil)
 			for _, key := range inBlockSchedule(ds) {
 				res := pf.Next()
 				if res.Err != nil {
-					t.Fatalf("format=%v depth=%d %v(%d,%d): %v", format, depth, key.Kind, key.I, key.J, res.Err)
+					t.Fatalf("%s depth=%d %v(%d,%d): %v", name, depth, key.Kind, key.I, key.J, res.Err)
 				}
 				if res.Key != key {
 					t.Fatalf("depth=%d: got key %+v, want %+v", depth, res.Key, key)
 				}
-				if format == FormatRaw {
-					payload, byteIdx, err := ds.LoadInBlockBytesScratch(key.I, key.J, sc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) {
-						t.Fatalf("format=%v depth=%d (%d,%d): prefetched views differ from sync load", format, depth, key.I, key.J)
-					}
-				} else {
-					blk, err := ds.LoadInBlockScratch(key.I, key.J, sc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !eqRecs(res.Recs, blk.Recs) || !eqU32(res.RecIdx, blk.Index) {
-						t.Fatalf("format=%v depth=%d (%d,%d): prefetched records differ from sync load", format, depth, key.I, key.J)
-					}
+				blk, err := ds.LoadInBlock(key.I, key.J)
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload, byteIdx := packedView(blk, ds.Weighted)
+				if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) {
+					t.Fatalf("%s depth=%d (%d,%d): prefetched packed view differs from the sync-decoded records", name, depth, key.I, key.J)
 				}
 				res.Release()
 			}
 			pf.Close()
 			if pf.UnusedBytes() != 0 {
-				t.Fatalf("depth=%d: fully-consumed pipeline reported %d unused bytes", depth, pf.UnusedBytes())
+				t.Fatalf("%s depth=%d: fully-consumed pipeline reported %d unused bytes", name, depth, pf.UnusedBytes())
 			}
 		}
 	}
@@ -342,7 +346,7 @@ func TestPrefetchCachedResultsMatchScratchLoads(t *testing.T) {
 			if pass == 1 && !res.Cached {
 				t.Fatalf("pass 2 (%d,%d): expected a cache hit", key.I, key.J)
 			}
-			payload, byteIdx, err := ds.LoadInBlockBytesScratch(key.I, key.J, sc)
+			payload, byteIdx, err := ds.LoadInBlockPackedScratch(key.I, key.J, sc)
 			if err != nil {
 				t.Fatal(err)
 			}

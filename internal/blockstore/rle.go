@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"fmt"
+	"slices"
 
 	"husgraph/internal/storage"
 )
@@ -90,8 +91,10 @@ func appendUnRLE(dst, src []byte) ([]byte, error) {
 		n := c - 125
 		v := src[i]
 		i++
-		for k := 0; k < n; k++ {
-			dst = append(dst, v)
+		start := len(dst)
+		dst = slices.Grow(dst, n)[:start+n]
+		for k := start; k < len(dst); k++ {
+			dst[k] = v
 		}
 	}
 	return dst, nil

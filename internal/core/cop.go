@@ -1,13 +1,21 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"sync/atomic"
 
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/graph"
 	"husgraph/internal/ioplan"
+	"husgraph/internal/storage"
 )
+
+// skipIdleSources enables runCOP's compute skip. Only tests clear it, to
+// build the full-scan reference run the skip must be indistinguishable from.
+var skipIdleSources = true
 
 // runCOP executes one Column-oriented Pull iteration (paper Alg. 3) over
 // the engine's owned columns.
@@ -23,19 +31,29 @@ import (
 // consumes the deferred deltas (a delta must be consumed exactly once).
 // The caller initializes D (InitAccumulators).
 //
+// idle marks the source intervals with no active vertex (idleSources): the
+// sources of in-block(j, i) all lie in interval j, so an idle j contributes
+// no message to any column. Such blocks are still taken from the window and
+// released — read plan, device charges, cache and decode accounting are
+// those of a full scan — but not scanned (the compute skip). Only the
+// COPBlockSkip ablation drops their reads as well.
+//
 // Returns the largest per-vertex value change (non-Monotone only).
-func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *ioplan.Window, copSkip func(int) bool) (float64, error) {
+func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *ioplan.Window, idle []bool) (float64, error) {
 	l := e.ds.Layout
 	dev := e.ds.Device()
 	nv := int64(blockstore.VertexValueBytes)
+	words := frontier.Bitmap().Words()
+	step := uint32(blockstore.RawRecordBytes(e.ds.Weighted))
+	weighted := e.ds.Weighted
 
 	// The column traversal order was handed to the scheduler as this
-	// window's plan (ioplan.COPKeys with the same copSkip closure): while
-	// this goroutine computes on in-block(j,i), the scheduler's workers
-	// read, verify and decode the next blocks (or serve them from the
-	// cache, or from the previous barrier's adopted speculation). copSkip
-	// mirrors the plan exactly — every planned key is consumed by exactly
-	// one Next call.
+	// window's plan (ioplan.COPKeysFor with the same idle mask under
+	// COPBlockSkip): while this goroutine computes on in-block(j,i), the
+	// scheduler's workers read, verify and expand the next blocks into the
+	// packed raw layout (or serve them from the cache, or from the previous
+	// barrier's adopted speculation). Every planned key is consumed by
+	// exactly one Next call.
 	var maxDelta float64
 	for _, i := range e.owned { // column i updates interval i
 		lo, hi := l.Bounds(i)
@@ -44,7 +62,7 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 		}
 
 		for j := 0; j < l.P; j++ { // stream in-blocks top to bottom
-			if copSkip != nil && copSkip(j) {
+			if idle[j] && e.cfg.COPBlockSkip {
 				continue // block-level selective scheduling (ablation)
 			}
 			if !e.cfg.SemiExternal {
@@ -54,65 +72,36 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 			if res.Err != nil {
 				return 0, res.Err
 			}
-			if e.ds.InCodec(j, i) == blockstore.CodecNone {
-				// Raw fast path: uncompressed in-blocks (FormatRaw, or a
-				// mixed-store block where no codec paid) iterate the packed
-				// records in place — no decode pass, and the
-				// per-destination parallelism covers all of the block's
-				// work. Compressed in-blocks arrive decoded from the window
-				// (the decode ran in the prefetch worker, overlapping I/O).
-				payload, byteIdx := res.Payload, res.ByteIdx
-				if len(payload) == 0 {
-					res.Release()
-					continue
-				}
-				step := blockstore.RawRecordBytes(e.ds.Weighted)
-				weighted := e.ds.Weighted
-				parallelWeightedChunks(byteIdx, e.cfg.Threads, func(cl, ch int) {
-					for local := cl; local < ch; local++ {
-						lo8, hi8 := int(byteIdx[local]), int(byteIdx[local+1])
-						if lo8 == hi8 {
-							continue
-						}
-						acc := d[lo+local]
-						dirty := false
-						for off := lo8; off < hi8; off += step {
-							nbr, w := blockstore.RawRec(payload, off, weighted)
-							if !frontier.Contains(int(nbr)) {
-								continue // IsActive check (Alg. 3 line 11)
-							}
-							msg := prog.Message(nbr, s[nbr], w)
-							if a, changed := prog.Combine(acc, msg); changed {
-								acc = a
-								dirty = true
-							}
-						}
-						if dirty {
-							d[lo+local] = acc
-						}
-					}
-				})
+			payload, byteIdx := res.Payload, res.ByteIdx
+			if len(payload) == 0 || (idle[j] && skipIdleSources) {
 				res.Release()
 				continue
 			}
-			blk := blockstore.Block{Recs: res.Recs, Index: res.RecIdx}
-			if len(blk.Recs) == 0 {
-				res.Release()
-				continue
-			}
-			parallelWeightedChunks(blk.Index, e.cfg.Threads, func(cl, ch int) {
+			jlo, jhi := l.Bounds(j)
+			base, span := uint32(jlo), uint32(jhi-jlo)
+			var stray atomic.Int64 // first source outside interval j, +1
+			parallelWeightedChunks(byteIdx, e.cfg.Threads, func(cl, ch int) {
 				for local := cl; local < ch; local++ {
-					recs := blk.EdgesOf(local)
-					if len(recs) == 0 {
+					lo8, hi8 := byteIdx[local], byteIdx[local+1]
+					if lo8 == hi8 {
 						continue
 					}
 					acc := d[lo+local]
 					dirty := false
-					for _, r := range recs {
-						if !frontier.Contains(int(r.Nbr)) {
+					for off := lo8; off < hi8; off += step {
+						nbr := binary.LittleEndian.Uint32(payload[off:])
+						if nbr-base >= span {
+							stray.CompareAndSwap(0, int64(nbr)+1)
+							return
+						}
+						if words[nbr/64]&(1<<(nbr%64)) == 0 {
 							continue // IsActive check (Alg. 3 line 11)
 						}
-						msg := prog.Message(r.Nbr, s[r.Nbr], r.Weight)
+						w := float32(1)
+						if weighted {
+							w = math.Float32frombits(binary.LittleEndian.Uint32(payload[off+4:]))
+						}
+						msg := prog.Message(nbr, s[nbr], w)
 						if a, changed := prog.Combine(acc, msg); changed {
 							acc = a
 							dirty = true
@@ -124,6 +113,9 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 				}
 			})
 			res.Release()
+			if v := stray.Load(); v != 0 {
+				return 0, fmt.Errorf("core: in-block (%d,%d): neighbor %d outside source interval [%d,%d): %w", j, i, v-1, jlo, jhi, storage.ErrCorrupt)
+			}
 		}
 
 		// Column finalization: activate changed vertices, synchronize

@@ -453,19 +453,19 @@ func (e *Engine) pinSemResident() error {
 	return nil
 }
 
-// copSkipFunc returns COP's block-level selective-scheduling predicate for
-// this frontier, or nil when the ablation is off. The same closure builds
-// the read plan and drives the executor's skip decisions, so they can
-// never diverge.
-func (e *Engine) copSkipFunc(frontier *bitset.Frontier) func(int) bool {
-	if !e.cfg.COPBlockSkip {
-		return nil
-	}
+// idleSources marks the source intervals holding no active vertex of
+// frontier. A COP iteration streams their in-blocks but computes nothing on
+// them (runCOP's compute skip); under the COPBlockSkip ablation it does not
+// read them either. One mask builds the read plan and drives both skip
+// decisions, so plan and executor can never diverge.
+func (e *Engine) idleSources(frontier *bitset.Frontier) []bool {
 	l := e.ds.Layout
-	return func(j int) bool {
-		jlo, jhi := l.Bounds(j)
-		return frontier.CountIn(jlo, jhi) == 0
+	idle := make([]bool, l.P)
+	for j := range idle {
+		lo, hi := l.Bounds(j)
+		idle[j] = !frontier.AnyInAtomic(lo, hi)
 	}
+	return idle
 }
 
 // provisionalPlan returns the provisional read-plan generator for

@@ -33,7 +33,7 @@ type Step struct {
 	frontier *bitset.Frontier
 	next     *bitset.Frontier
 	win      *ioplan.Window
-	copSkip  func(int) bool
+	idle     []bool // COP: source intervals with no active vertex
 
 	start         time.Time
 	ioBefore      storage.Stats
@@ -171,8 +171,13 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 			plan = ioplan.ROPKeysFor(e.ds.Layout, e.ds.BlockEdgeCount, frontier, e.ownedOrNil())
 		}
 	} else {
-		s.copSkip = e.copSkipFunc(frontier)
-		plan = ioplan.COPKeysFor(e.ds.Layout, s.copSkip, e.ownedOrNil())
+		s.idle = e.idleSources(frontier)
+		var readSkip func(int) bool
+		if e.cfg.COPBlockSkip {
+			idle := s.idle
+			readSkip = func(j int) bool { return idle[j] }
+		}
+		plan = ioplan.COPKeysFor(e.ds.Layout, readSkip, e.ownedOrNil())
 	}
 	prov := e.provisionalPlan(prog, s.st.Model, frontier, next)
 	if prov != nil && e.breaker != nil {
@@ -208,7 +213,7 @@ func (s *Step) Exec(sv, d []float64) error {
 	if s.st.Model == ModelROP {
 		err = s.e.ropAccumulate(s.prog, sv, d, s.frontier, s.next, s.win)
 	} else {
-		md, err = s.e.runCOP(s.prog, sv, d, s.frontier, s.next, s.win, s.copSkip)
+		md, err = s.e.runCOP(s.prog, sv, d, s.frontier, s.next, s.win, s.idle)
 	}
 	if md > s.maxDelta {
 		s.maxDelta = md

@@ -24,6 +24,9 @@ func Relabel(g *Graph, perm []VertexID) *Graph {
 		seen[p] = true
 	}
 	out := New(g.NumVertices)
+	if g.Edges == nil {
+		return out // keep an edgeless graph's nil Edges nil
+	}
 	out.Edges = make([]Edge, len(g.Edges))
 	for i, e := range g.Edges {
 		out.Edges[i] = Edge{Src: perm[e.Src], Dst: perm[e.Dst], Weight: e.Weight}

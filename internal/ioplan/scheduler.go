@@ -456,11 +456,7 @@ func (w *Window) takeSpec(key blockstore.BlockKey) *blockstore.PrefetchResult {
 		if cache != nil {
 			if blk, ok := cache.GetQuiet(key); ok {
 				cache.NoteHit(key)
-				return &blockstore.PrefetchResult{
-					Key: key, Cached: true,
-					Payload: blk.Payload, ByteIdx: blk.ByteIdx,
-					Recs: blk.Recs, RecIdx: blk.RecIdx,
-				}
+				return &blockstore.PrefetchResult{Key: key, Cached: true, Payload: blk.Payload, ByteIdx: blk.ByteIdx}
 			}
 		}
 		// The prediction missed (evicted, or refused by admission): load
@@ -479,13 +475,7 @@ func (w *Window) takeSpec(key blockstore.BlockKey) *blockstore.PrefetchResult {
 			cache.NoteHit(key)
 		} else {
 			cache.NoteMiss(key)
-			blk := &blockstore.CachedBlock{
-				Payload: append([]byte(nil), res.Payload...),
-				ByteIdx: append([]uint32(nil), res.ByteIdx...),
-				Recs:    append([]blockstore.Rec(nil), res.Recs...),
-				RecIdx:  append([]uint32(nil), res.RecIdx...),
-			}
-			if cache.Put(key, blk) {
+			if blk := res.CacheCopy(); cache.Put(key, blk) {
 				res.AdoptCached(blk)
 			}
 		}
