@@ -31,6 +31,17 @@ func BenchmarkBuildRaw(b *testing.B) {
 	}
 }
 
+func BenchmarkBuildMixed(b *testing.B) {
+	g := gen.RMAT(1<<14, 200000, gen.Graph500, rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildWithFormat(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, 8, FormatMixed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkLoadInBlockPackedScratch(b *testing.B) {
 	for _, format := range []Format{FormatRaw, FormatCompressed, FormatMixed} {
 		b.Run(format.String(), func(b *testing.B) {

@@ -282,76 +282,39 @@ func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, e
 		d.OutIndexStoredBytes = alloc2D(p)
 		d.InIndexStoredBytes = alloc2D(p)
 	}
+	sz := layout.intervalSize()
 	for _, e := range g.Edges {
 		d.OutDegrees[e.Src]++
 		d.InDegrees[e.Dst]++
-		d.BlockEdgeCount[layout.IntervalOf(e.Src)][layout.IntervalOf(e.Dst)]++
+		d.BlockEdgeCount[int(e.Src)/sz][int(e.Dst)/sz]++
 	}
 
-	// Bucket edges per block in the required orders.
-	outRecs := make([][][]Rec, p) // outRecs[i][j]: edges i→j as (dst, w), sorted by (src, dst)
-	inRecs := make([][][]Rec, p)  // inRecs[i][j]: edges i→j as (src, w), sorted by (dst, src)
-	outPerVertex := make([][][]uint32, p)
-	inPerVertex := make([][][]uint32, p)
-	for i := 0; i < p; i++ {
-		outRecs[i] = make([][]Rec, p)
-		inRecs[i] = make([][]Rec, p)
-		outPerVertex[i] = make([][]uint32, p)
-		inPerVertex[i] = make([][]uint32, p)
-		for j := 0; j < p; j++ {
-			n := d.BlockEdgeCount[i][j]
-			outRecs[i][j] = make([]Rec, 0, n)
-			inRecs[i][j] = make([]Rec, 0, n)
-			outPerVertex[i][j] = make([]uint32, layout.Size(i))
-			inPerVertex[i][j] = make([]uint32, layout.Size(j))
-		}
-	}
-
+	// Row i's edges are contiguous in (src,dst) order and column j's in
+	// (dst,src) order; both go through the streaming build's encoders.
 	sorted := g.Clone()
 	sorted.SortBySrc()
-	for _, e := range sorted.Edges {
-		i, j := layout.IntervalOf(e.Src), layout.IntervalOf(e.Dst)
-		outRecs[i][j] = append(outRecs[i][j], Rec{Nbr: e.Dst, Weight: e.Weight})
-		outPerVertex[i][j][layout.Local(e.Src)]++
+	edges := sorted.Edges
+	for i := 0; i < p; i++ {
+		n := 0
+		for j := 0; j < p; j++ {
+			n += int(d.BlockEdgeCount[i][j])
+		}
+		if err := d.encodeRow(i, edges[:n]); err != nil {
+			return nil, err
+		}
+		edges = edges[n:]
 	}
 	sorted.SortByDst()
-	for _, e := range sorted.Edges {
-		i, j := layout.IntervalOf(e.Src), layout.IntervalOf(e.Dst)
-		inRecs[i][j] = append(inRecs[i][j], Rec{Nbr: e.Src, Weight: e.Weight})
-		inPerVertex[i][j][layout.Local(e.Dst)]++
-	}
-
-	// Encode: per-vertex self-contained sections, byte-offset indices into
-	// the stored payload. FormatMixed picks the smallest codec per block.
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			payload, idx, c := encodeBlockPayload(outRecs[i][j], outPerVertex[i][j], format, d.Weighted)
-			d.OutBlockBytes[i][j] = int64(len(payload))
-			if err := d.putBlobCodec(outBlockName(i, j), payload, c); err != nil {
-				return nil, err
-			}
-			idxPayload, idxCodec := encodeBlockIndex(idx, format)
-			if err := d.putBlobCodec(outIndexName(i, j), idxPayload, idxCodec); err != nil {
-				return nil, err
-			}
-			if format == FormatMixed {
-				d.OutCodecs[i][j] = c
-				d.OutIndexStoredBytes[i][j] = int64(len(idxPayload))
-			}
-			payload, idx, c = encodeBlockPayload(inRecs[i][j], inPerVertex[i][j], format, d.Weighted)
-			d.InBlockBytes[i][j] = int64(len(payload))
-			if err := d.putBlobCodec(inBlockName(i, j), payload, c); err != nil {
-				return nil, err
-			}
-			idxPayload, idxCodec = encodeBlockIndex(idx, format)
-			if err := d.putBlobCodec(inIndexName(i, j), idxPayload, idxCodec); err != nil {
-				return nil, err
-			}
-			if format == FormatMixed {
-				d.InCodecs[i][j] = c
-				d.InIndexStoredBytes[i][j] = int64(len(idxPayload))
-			}
+	edges = sorted.Edges
+	for j := 0; j < p; j++ {
+		n := 0
+		for i := 0; i < p; i++ {
+			n += int(d.BlockEdgeCount[i][j])
 		}
+		if err := d.encodeColumn(j, edges[:n]); err != nil {
+			return nil, err
+		}
+		edges = edges[n:]
 	}
 	if err := d.putBlob(metaName, encodeMeta(d)); err != nil {
 		return nil, err

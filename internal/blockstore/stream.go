@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"husgraph/internal/graph"
@@ -82,6 +81,7 @@ func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdg
 	}
 
 	// Pass 1: spill into per-row and per-column buckets.
+	sz := layout.intervalSize()
 	spill := newSpiller(store, spillEdges)
 	rec := make([]byte, graph.EdgeRecordBytes)
 	for k := int64(0); k < numE; k++ {
@@ -98,7 +98,7 @@ func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdg
 		}
 		d.OutDegrees[e.Src]++
 		d.InDegrees[e.Dst]++
-		i, j := layout.IntervalOf(e.Src), layout.IntervalOf(e.Dst)
+		i, j := int(e.Src)/sz, int(e.Dst)/sz
 		d.BlockEdgeCount[i][j]++
 		if err := spill.add("tmp/or", i, e); err != nil {
 			return nil, err
@@ -117,12 +117,7 @@ func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdg
 		if err != nil {
 			return nil, err
 		}
-		sort.Slice(edges, func(a, b int) bool {
-			if edges[a].Src != edges[b].Src {
-				return edges[a].Src < edges[b].Src
-			}
-			return edges[a].Dst < edges[b].Dst
-		})
+		graph.SortEdgesBySrc(edges)
 		if err := d.encodeRow(i, edges); err != nil {
 			return nil, err
 		}
@@ -136,12 +131,7 @@ func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdg
 		if err != nil {
 			return nil, err
 		}
-		sort.Slice(edges, func(a, b int) bool {
-			if edges[a].Dst != edges[b].Dst {
-				return edges[a].Dst < edges[b].Dst
-			}
-			return edges[a].Src < edges[b].Src
-		})
+		graph.SortEdgesByDst(edges)
 		if err := d.encodeColumn(j, edges); err != nil {
 			return nil, err
 		}
@@ -157,16 +147,18 @@ func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdg
 }
 
 // encodeRow writes the P out-blocks of row i from its (src,dst)-sorted
-// edges. Blocks are encoded through the same per-block encoder BuildOpts
-// uses (encodeBlockPayload), so FormatMixed's per-block codec choice works
-// identically for in-memory and streaming builds.
+// edges. BuildOpts and BuildStreamingOpts both encode every row through it,
+// so equal edge orders give byte-identical stores. d.BlockEdgeCount must
+// already hold row i's counts; they size each block's record slice.
 func (d *DualStore) encodeRow(i int, edges []graph.Edge) error {
 	l := d.Layout
 	lo, _ := l.Bounds(i)
 	size := l.Size(i)
+	sz := l.intervalSize()
 	recs := make([][]Rec, l.P)
 	perVertex := make([][]uint32, l.P)
 	for j := 0; j < l.P; j++ {
+		recs[j] = make([]Rec, 0, d.BlockEdgeCount[i][j])
 		perVertex[j] = make([]uint32, size)
 	}
 	pos := 0
@@ -176,7 +168,7 @@ func (d *DualStore) encodeRow(i int, edges []graph.Edge) error {
 		// Edges of one source are dst-sorted, so appending in order keeps
 		// each block's per-vertex slice neighbor-sorted.
 		for end < len(edges) && edges[end].Src == src {
-			j := l.IntervalOf(edges[end].Dst)
+			j := int(edges[end].Dst) / sz
 			recs[j] = append(recs[j], Rec{Nbr: edges[end].Dst, Weight: edges[end].Weight})
 			perVertex[j][local]++
 			end++
@@ -210,9 +202,11 @@ func (d *DualStore) encodeColumn(j int, edges []graph.Edge) error {
 	l := d.Layout
 	lo, _ := l.Bounds(j)
 	size := l.Size(j)
+	sz := l.intervalSize()
 	recs := make([][]Rec, l.P)
 	perVertex := make([][]uint32, l.P)
 	for i := 0; i < l.P; i++ {
+		recs[i] = make([]Rec, 0, d.BlockEdgeCount[i][j])
 		perVertex[i] = make([]uint32, size)
 	}
 	pos := 0
@@ -220,7 +214,7 @@ func (d *DualStore) encodeColumn(j int, edges []graph.Edge) error {
 		dst := uint32(lo + local)
 		end := pos
 		for end < len(edges) && edges[end].Dst == dst {
-			i := l.IntervalOf(edges[end].Src)
+			i := int(edges[end].Src) / sz
 			recs[i] = append(recs[i], Rec{Nbr: edges[end].Src, Weight: edges[end].Weight})
 			perVertex[i][local]++
 			end++

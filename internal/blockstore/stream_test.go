@@ -71,19 +71,57 @@ func storesEquivalent(t *testing.T, a, b *DualStore) {
 	}
 }
 
+// TestBuildStreamingMatchesInMemoryBuild requires byte-identical stores
+// from both builders, weighted or not, on shuffled edge lists. Duplicates
+// whose weights differ must keep their input order in every block, which
+// only stable sorts give; they are raw-only, since the varint codec needs
+// strictly increasing neighbours. The small spill budget splits buckets
+// into several parts.
 func TestBuildStreamingMatchesInMemoryBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	g := gen.RMAT(300, 2500, gen.Graph500, rng)
-	gen.AssignUniformWeights(g, 1, 5, rng)
-	// Build requires (src,dst)-sorted determinism; BuildStreaming sorts
-	// internally, so feed the same multiset.
-	for _, format := range []Format{FormatRaw, FormatCompressed} {
-		want, err := BuildWithFormat(memStore(), g, 4, format)
-		if err != nil {
+	shuffle := func(g *graph.Graph) {
+		rng.Shuffle(len(g.Edges), func(a, b int) { g.Edges[a], g.Edges[b] = g.Edges[b], g.Edges[a] })
+	}
+	uniq := gen.RMAT(300, 2500, gen.Graph500, rng)
+	gen.AssignUniformWeights(uniq, 1, 5, rng)
+	dups := uniq.Clone()
+	for k := 0; k < 200; k++ {
+		e := dups.Edges[rng.Intn(len(uniq.Edges))]
+		e.Weight += 10
+		dups.Edges = append(dups.Edges, e)
+	}
+	shuffle(uniq)
+	shuffle(dups)
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		formats []Format
+	}{
+		{"unique", uniq, []Format{FormatRaw, FormatCompressed, FormatMixed}},
+		{"duplicates", dups, []Format{FormatRaw}},
+	} {
+		var bin bytes.Buffer
+		if err := graph.WriteBinary(&bin, tc.g); err != nil {
 			t.Fatal(err)
 		}
-		got, _ := streamFrom(t, g, 4, format, 0)
-		storesEquivalent(t, want, got)
+		for _, format := range tc.formats {
+			for _, weighted := range []bool{true, false} {
+				opts := Options{P: 4, Format: format, Weighted: weighted}
+				memSt, streamSt := memStore(), memStore()
+				want, err := BuildOpts(memSt, tc.g, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := BuildStreamingOpts(streamSt, bytes.NewReader(bin.Bytes()), opts, 256)
+				if err != nil {
+					t.Fatal(err)
+				}
+				storesEquivalent(t, want, got)
+				if a, b := storeDigest(t, memSt), storeDigest(t, streamSt); a != b {
+					t.Errorf("%s %v weighted=%v: in-memory store %s, streaming store %s", tc.name, format, weighted, a, b)
+				}
+			}
+		}
 	}
 }
 

@@ -34,6 +34,21 @@ func BenchmarkSymmetrize(b *testing.B) {
 	}
 }
 
+// BenchmarkSortBySrc sorts 1 M edges with uniform random endpoints over
+// 64 Ki vertices: an input in no useful order, so every pass runs.
+func BenchmarkSortBySrc(b *testing.B) {
+	g := benchGraph(b, 1<<16, 1<<20)
+	unsorted := append([]Edge(nil), g.Edges...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(g.Edges, unsorted)
+		b.StartTimer()
+		g.SortBySrc()
+	}
+}
+
 func BenchmarkDegreeOrder(b *testing.B) {
 	g := benchGraph(b, 1<<16, 1<<20)
 	b.ResetTimer()

@@ -101,6 +101,65 @@ func TestDedup(t *testing.T) {
 	}
 }
 
+// TestDedupKeepsFirstWeight uses far more duplicates than a comparison
+// sort's insertion-sort cutoff, where an unstable sort reorders them.
+func TestDedupKeepsFirstWeight(t *testing.T) {
+	g := New(3)
+	pairs := [][2]VertexID{{0, 1}, {2, 1}, {1, 0}}
+	for k := 0; k < 40; k++ {
+		p := pairs[k%3]
+		g.AddWeightedEdge(p[0], p[1], float32(k))
+	}
+	g.Dedup()
+	want := []Edge{{0, 1, 0}, {1, 0, 2}, {2, 1, 1}}
+	if !reflect.DeepEqual(g.Edges, want) {
+		t.Fatalf("Dedup = %v, want %v", g.Edges, want)
+	}
+}
+
+// TestSymmetrizeWeightRule pins the rule for weighted inputs: an edge of g
+// keeps its own weight, the first of its duplicates winning, and a mirror
+// only fills a direction g lacks.
+func TestSymmetrizeWeightRule(t *testing.T) {
+	g := New(2)
+	g.AddWeightedEdge(0, 1, 1)
+	g.AddWeightedEdge(1, 0, 2)
+	want := []Edge{{0, 1, 1}, {1, 0, 2}}
+	if s := g.Symmetrize(); !reflect.DeepEqual(s.Edges, want) {
+		t.Fatalf("Symmetrize = %v, want %v", s.Edges, want)
+	}
+
+	// Vertex v>0 has the edge 0->v weighted v; odd v also has v->0
+	// weighted 100+v, listed twice with the second copy weighted 200+v.
+	const n = 30
+	g = New(n)
+	for v := VertexID(1); v < n; v++ {
+		g.AddWeightedEdge(0, v, float32(v))
+		if v%2 == 1 {
+			g.AddWeightedEdge(v, 0, float32(100+v))
+		}
+	}
+	for v := VertexID(1); v < n; v += 2 {
+		g.AddWeightedEdge(v, 0, float32(200+v))
+	}
+	s := g.Symmetrize()
+	if s.NumEdges() != 2*(n-1) {
+		t.Fatalf("Symmetrize has %d edges, want %d", s.NumEdges(), 2*(n-1))
+	}
+	for _, e := range s.Edges {
+		want := float32(e.Dst) // 0->v keeps its own weight
+		if e.Dst == 0 {
+			want = float32(e.Src) // mirror of 0->v
+			if e.Src%2 == 1 {
+				want = float32(100 + e.Src) // g's own first v->0
+			}
+		}
+		if e.Weight != want {
+			t.Errorf("edge %d->%d weight %v, want %v", e.Src, e.Dst, e.Weight, want)
+		}
+	}
+}
+
 func TestSymmetrize(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1)
